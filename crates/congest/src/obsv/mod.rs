@@ -13,7 +13,7 @@
 //!   trace is one collector among several.
 //! * [`metrics`] — a registry of counters/gauges/histograms with
 //!   *deterministic snapshot ordering* (sorted by name), so metric output is
-//!   byte-identical under the work-stealing pool at any thread count.
+//!   byte-identical under the fork-join pool at any thread count.
 //! * [`report`] — exporters: the schema-versioned run-report JSON, a
 //!   JSON-lines trace dump ([`JsonlTrace`]), and a human summary table.
 //! * [`analyze`] — consumers of a recorded event stream: the happens-before

@@ -633,7 +633,7 @@ impl<'g> Simulation<'g> {
         self
     }
 
-    /// Installs a [`FlightRecorder`](crate::obsv::flight::FlightRecorder):
+    /// Installs a [`FlightRecorder`]:
     /// the bounded-memory streaming telemetry layer. Composes with any
     /// [`Self::collector`] through a [`Fanout`]; the run's metrics gain the
     /// `flight.*` counters, and a degraded or failed run writes the flight

@@ -8,6 +8,12 @@
 //! needs, so executions are independent and order-free, and every query is
 //! seeded explicitly, so a batch's answers are byte-identical at any
 //! thread count.
+//!
+//! The batch is the one parallel level. The pool runs a parallel construct
+//! nested inside a pool task inline on that task's lane, so the engine and
+//! clique runs a query makes go sequential under a flush. A query fills a
+//! lane by itself; forking its per-round loops as well would only split a
+//! pool that the batch already keeps busy.
 
 use std::sync::Arc;
 

@@ -2,8 +2,9 @@
 //! {even-cycle, triangle} × {faults off, faults on}, answered over a
 //! single cached graph. The full response stream must match the
 //! checked-in golden **byte for byte** — `scripts/check.sh` runs this
-//! test at `RAYON_NUM_THREADS=1` and `4`, so matching the same golden at
-//! both settings is the service's determinism contract made executable.
+//! test at `RAYON_NUM_THREADS=1`, `nproc` and `4`, so matching the same
+//! golden at every setting is the service's determinism contract made
+//! executable.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test -p serve --test golden_session`.
 
@@ -73,6 +74,33 @@ fn hundred_query_session_matches_golden_bytes() {
         "serve session output drifted from its golden (or is thread-count \
          dependent); if the change is intentional, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// Four threads each drive their own `Service` through the session at the
+/// same time. Their batches share the one pool, so each caller's wait
+/// helps run the other callers' queries. Every output must still be the
+/// golden, byte for byte.
+#[test]
+fn concurrent_sessions_each_match_golden_bytes() {
+    const CALLERS: usize = 4;
+    // In this mode the golden test rewrites the file this one reads.
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        return;
+    }
+    let golden = std::fs::read_to_string(golden_path()).expect("golden present");
+    let outputs: Vec<String> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS).map(|_| scope.spawn(run_session)).collect();
+        callers
+            .into_iter()
+            .map(|caller| caller.join().expect("session thread panicked"))
+            .collect()
+    });
+    for (caller, output) in outputs.iter().enumerate() {
+        assert_eq!(
+            output, &golden,
+            "caller {caller}'s session drifted from the golden"
+        );
+    }
 }
 
 #[test]

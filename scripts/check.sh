@@ -6,6 +6,8 @@
 #
 # fmt and clippy are skipped with a warning when the components are not
 # installed (offline/minimal toolchains); the tier-1 suite always runs.
+# Every step records its failure in `status` and the script goes on, so
+# one red gate never hides the ones after it.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -84,57 +86,57 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet || status=1
 
 if [[ "$quick" -eq 0 ]]; then
     echo "==> cargo build --release (tier-1)"
-    cargo build --release
+    cargo build --release || status=1
 fi
 
 echo "==> cargo test -q (tier-1)"
-cargo test -q
+cargo test -q || status=1
 
 echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+cargo test -q --workspace || status=1
 
-# The pool must give byte-identical results on any thread count; gate both
-# the sequential and a genuinely parallel schedule explicitly (the runs
-# above use the host default).
-echo "==> cargo test -q --workspace (RAYON_NUM_THREADS=1)"
-RAYON_NUM_THREADS=1 cargo test -q --workspace
-
-echo "==> cargo test -q --workspace (RAYON_NUM_THREADS=4)"
-RAYON_NUM_THREADS=4 cargo test -q --workspace
+# The pool must give byte-identical results on any thread count; gate the
+# sequential schedule, the host's own lane count, and an oversubscribed
+# parallel schedule explicitly (the runs above take whatever the
+# environment sets).
+threads_matrix=(1 "$(nproc)" 4)
+for t in "${threads_matrix[@]}"; do
+    echo "==> cargo test -q --workspace (RAYON_NUM_THREADS=$t)"
+    RAYON_NUM_THREADS=$t cargo test -q --workspace || status=1
+done
 
 # The routing property test (new delivery vs naive reference, inbox order
 # included) must hold on sequential and parallel schedules alike.
 echo "==> routing property test (RAYON_NUM_THREADS=1)"
-RAYON_NUM_THREADS=1 cargo test -q -p congest --test routing
+RAYON_NUM_THREADS=1 cargo test -q -p congest --test routing || status=1
 
 echo "==> routing property test (RAYON_NUM_THREADS=4)"
-RAYON_NUM_THREADS=4 cargo test -q -p congest --test routing
+RAYON_NUM_THREADS=4 cargo test -q -p congest --test routing || status=1
 
 # The sharding referee: every observable of a run (inbox contents AND
 # order, the raw event stream, fault tallies, traffic stats) must be
 # byte-identical at shard counts {1, 2, 7, ...} — and that must hold on
 # sequential and parallel pools alike, so the matrix covers shards x
 # threads.
-echo "==> sharding referee (RAYON_NUM_THREADS=1)"
-RAYON_NUM_THREADS=1 cargo test -q -p congest --test sharding
-
-echo "==> sharding referee (RAYON_NUM_THREADS=4)"
-RAYON_NUM_THREADS=4 cargo test -q -p congest --test sharding
+for t in "${threads_matrix[@]}"; do
+    echo "==> sharding referee (RAYON_NUM_THREADS=$t)"
+    RAYON_NUM_THREADS=$t cargo test -q -p congest --test sharding || status=1
+done
 
 # The u32 id space is a hot-path invariant, not an assumption: builders
 # must refuse graphs whose vertex or directed-edge-slot counts would
 # overflow the packed ids the sharded engine routes on.
 echo "==> u32 id-space overflow gate"
-cargo test -q -p graphlib try_new_rejects_oversized_vertex_counts
+cargo test -q -p graphlib try_new_rejects_oversized_vertex_counts || status=1
 
 # FaultStack composition is order-sensitive first-fault-wins and a pure
 # function of (spec, seed); the property suite must hold on sequential and
 # parallel schedules alike.
 echo "==> fault-stack composition property test (RAYON_NUM_THREADS=1)"
-RAYON_NUM_THREADS=1 cargo test -q -p congest --test fault_stack
+RAYON_NUM_THREADS=1 cargo test -q -p congest --test fault_stack || status=1
 
 echo "==> fault-stack composition property test (RAYON_NUM_THREADS=4)"
-RAYON_NUM_THREADS=4 cargo test -q -p congest --test fault_stack
+RAYON_NUM_THREADS=4 cargo test -q -p congest --test fault_stack || status=1
 
 # Chaos-schedule smoke budget: the deterministic fuzzer sweep (seeded
 # schedules across the loss x burstiness x crash x outage x corruption
@@ -143,20 +145,19 @@ RAYON_NUM_THREADS=4 cargo test -q -p congest --test fault_stack
 # deliberately-broken invariant must be found AND shrunk to a minimal
 # reproducer.
 echo "==> chaos fuzzer smoke budget (zero violations over seeded schedules)"
-cargo test -q --test chaos chaos_fuzzer_finds_no_soundness_violations
+cargo test -q --test chaos chaos_fuzzer_finds_no_soundness_violations || status=1
 
 echo "==> chaos fuzzer teeth gate (injected violation found and shrunk)"
-cargo test -q --test chaos chaos_fuzzer_catches_and_shrinks_a_broken_invariant
+cargo test -q --test chaos chaos_fuzzer_catches_and_shrinks_a_broken_invariant || status=1
 
 # The serve layer's determinism contract: the golden 100-query session
 # (one cached planted-C4 graph, 25 seeds x {even-cycle, triangle} x fault
 # on/off) must match its checked-in golden byte-for-byte on sequential and
-# parallel pools alike.
-echo "==> congest-serve golden session (RAYON_NUM_THREADS=1)"
-RAYON_NUM_THREADS=1 cargo test -q -p serve --test golden_session
-
-echo "==> congest-serve golden session (RAYON_NUM_THREADS=4)"
-RAYON_NUM_THREADS=4 cargo test -q -p serve --test golden_session
+# parallel pools alike, also with four sessions running at once.
+for t in "${threads_matrix[@]}"; do
+    echo "==> congest-serve golden session (RAYON_NUM_THREADS=$t)"
+    RAYON_NUM_THREADS=$t cargo test -q -p serve --test golden_session || status=1
+done
 
 # The staged-Simulation API migration is structural, not advisory: the
 # even-cycle drivers must run their amplification loops through a staged
@@ -184,7 +185,7 @@ fi
 # exists for this host).
 if [[ "$quick" -eq 0 ]]; then
     echo "==> perf regression smoke gate"
-    cargo build --release -p bench --bin perf
+    cargo build --release -p bench --bin perf || status=1
     ./target/release/perf --check --smoke --tolerance 60 || status=1
 
     # Budgeted E3-scale smoke: the n = 10^6 trajectory must be walkable
@@ -206,7 +207,7 @@ fi
 # weighted chain) must be byte-identical across thread counts.
 if [[ "$quick" -eq 0 ]]; then
     echo "==> congest-trace check over committed golden run reports"
-    cargo build --release -p tracetools --bin congest-trace
+    cargo build --release -p tracetools --bin congest-trace || status=1
     for golden in tests/golden/run_report_*.json; do
         ./target/release/congest-trace check "$golden" || status=1
     done
@@ -217,7 +218,7 @@ if [[ "$quick" -eq 0 ]]; then
     # changed nothing observable.
     echo "==> fused-engine trace diff against the pre-fusion golden"
     fused_trace="$(mktemp)"
-    ./target/release/congest-trace dump --canonical > "$fused_trace"
+    ./target/release/congest-trace dump --canonical > "$fused_trace" || status=1
     if ./target/release/congest-trace diff "$fused_trace" \
         tests/golden/prefusion_canonical_trace.jsonl; then
         echo "    fused canonical trace byte-identical to the pre-fusion golden"
@@ -229,8 +230,8 @@ if [[ "$quick" -eq 0 ]]; then
 
     echo "==> critical-path determinism gate (RAYON_NUM_THREADS=1 vs 4)"
     cp1="$(mktemp)" cp4="$(mktemp)"
-    RAYON_NUM_THREADS=1 ./target/release/congest-trace critical-path --canonical > "$cp1"
-    RAYON_NUM_THREADS=4 ./target/release/congest-trace critical-path --canonical > "$cp4"
+    RAYON_NUM_THREADS=1 ./target/release/congest-trace critical-path --canonical > "$cp1" || status=1
+    RAYON_NUM_THREADS=4 ./target/release/congest-trace critical-path --canonical > "$cp4" || status=1
     if diff -q "$cp1" "$cp4" >/dev/null; then
         echo "    critical-path summary byte-identical at 1 and 4 threads"
     else
@@ -257,8 +258,8 @@ if [[ "$quick" -eq 0 ]]; then
 
     echo "==> flight-record determinism gate (RAYON_NUM_THREADS=1 vs 4)"
     fl1="$(mktemp)" fl4="$(mktemp)"
-    RAYON_NUM_THREADS=1 ./target/release/congest-trace dump --flight-canonical > "$fl1"
-    RAYON_NUM_THREADS=4 ./target/release/congest-trace dump --flight-canonical > "$fl4"
+    RAYON_NUM_THREADS=1 ./target/release/congest-trace dump --flight-canonical > "$fl1" || status=1
+    RAYON_NUM_THREADS=4 ./target/release/congest-trace dump --flight-canonical > "$fl4" || status=1
     if diff -q "$fl1" "$fl4" >/dev/null; then
         echo "    canonical flight record byte-identical at 1 and 4 threads"
     else
@@ -274,7 +275,7 @@ if [[ "$quick" -eq 0 ]]; then
     # are stripped (the p99_ms/mean_ms fields and the latency histogram
     # series; everything else is counters, which are deterministic).
     echo "==> serve telemetry determinism gate (RAYON_NUM_THREADS=1 vs 4)"
-    cargo build --release -p serve --bin congest-serve
+    cargo build --release -p serve --bin congest-serve || status=1
     tele_req="$(mktemp)" tele1="$(mktemp)" tele4="$(mktemp)"
     {
         for i in 0 1 2 3 4 5 6 7; do
@@ -288,9 +289,9 @@ if [[ "$quick" -eq 0 ]]; then
         sed -E 's/"(p99_ms|mean_ms)":[0-9.]+/"\1":0/g' | sed '/serve_latency_us/d'
     }
     RAYON_NUM_THREADS=1 ./target/release/congest-serve < "$tele_req" \
-        | strip_wallclock > "$tele1"
+        | strip_wallclock > "$tele1" || status=1
     RAYON_NUM_THREADS=4 ./target/release/congest-serve < "$tele_req" \
-        | strip_wallclock > "$tele4"
+        | strip_wallclock > "$tele4" || status=1
     if [[ -s "$tele1" ]] && diff -q "$tele1" "$tele4" >/dev/null; then
         echo "    serve telemetry byte-identical at 1 and 4 threads (wall-clock stripped)"
     else
